@@ -126,7 +126,7 @@ pub fn set_threads(threads: usize) {
 /// claim tasks dynamically off a shared counter, and results are written
 /// into per-task slots — so the merged output is byte-identical to the
 /// serial run at any thread count, only wall-clock changes. Same
-/// `crossbeam::scope` pattern as `mvcom_core::se::parallel`.
+/// `crossbeam::scope` pattern as the SE engine's replica fan-out.
 ///
 /// With one thread (the default) the tasks run inline on the caller's
 /// thread with no synchronization at all.

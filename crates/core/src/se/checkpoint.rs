@@ -13,8 +13,7 @@
 //!
 //! Checkpoints are *version-stamped* with the iteration they were taken
 //! at; a recovery manager holding several can always prefer the newest and
-//! discard stale ones, mirroring the versioned RESET signals of the
-//! parallel runner.
+//! discard stale ones.
 //!
 //! # Example: kill → JSON → resume
 //!

@@ -927,6 +927,19 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_does_not_perturb_the_run() {
+        let inst = instance(18);
+        let cfg = SeConfig::fast_test(8).with_gamma(2);
+        let silent = SeEngine::new(&inst, cfg)
+            .unwrap()
+            .with_obs(Obs::off())
+            .run();
+        let (obs, _buffer) = Obs::memory(ObsLevel::Trace);
+        let traced = SeEngine::new(&inst, cfg).unwrap().with_obs(obs).run();
+        assert_eq!(silent, traced);
+    }
+
+    #[test]
     fn different_seeds_explore_differently() {
         let inst = instance(25);
         let a = SeEngine::new(&inst, SeConfig::fast_test(10)).unwrap().run();

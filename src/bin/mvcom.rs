@@ -36,9 +36,12 @@
 //!
 //! `--obs-out FILE` streams the structured telemetry documented in
 //! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity
-//! (default `events`). With telemetry on, `--solver par-se` runs the
-//! deterministic lockstep emulation of the parallel runner, so the event
-//! file is byte-identical across same-seed runs.
+//! (default `events`). The event file is byte-identical across same-seed
+//! runs at any `--threads`.
+//!
+//! `--solver par-se` is an alias of `se`: the Γ replicas of the paper's
+//! parallel execution (§IV-D) are the engine's `--threads` fan-out, so it
+//! prints the same schedule and writes the same event file.
 
 #![forbid(unsafe_code)]
 use std::process::ExitCode;
@@ -293,7 +296,12 @@ fn solve(args: &[String]) -> Result<()> {
     let seed: u64 = flags.num("seed", 0u64)?;
     let capacity: u64 = flags.num("capacity", 1_000 * committees as u64)?;
     let n_min: usize = flags.num("n-min", committees / 2)?;
-    let solver = flags.get("solver").unwrap_or("se");
+    // `par-se` stays accepted so existing scripts keep working. It is
+    // reported as `se` too, so its event file is byte-identical.
+    let solver = match flags.get("solver") {
+        None | Some("par-se") => "se",
+        Some(name) => name,
+    };
     // SE replica fan-out (DESIGN.md §14): byte-identical to the serial
     // run at any count, so 0 is a hard error, not "auto".
     let threads: usize = flags.num("threads", 1usize)?;
@@ -316,7 +324,6 @@ fn solve(args: &[String]) -> Result<()> {
 
     let obs = obs_from_flags(&flags, "mvcom solve", seed)?;
     let span = obs.span("solve", 0.0, &[("solver", Value::from(solver))]);
-    let mut resets: Option<ResetStats> = None;
     // The logical end of the run on the solver's iteration clock.
     let mut t_end = 0.0f64;
     let (name, solution): (String, Solution) = match solver {
@@ -336,21 +343,6 @@ fn solve(args: &[String]) -> Result<()> {
                 ],
             );
             ("SE".into(), outcome.best_solution)
-        }
-        "par-se" => {
-            let config = SeConfig::paper(seed);
-            let runner = ParallelRunner::new(config);
-            // With telemetry on, run the deterministic lockstep emulation
-            // so the event file replays byte-identically per seed; the
-            // threaded runner stays the fast path otherwise.
-            let (_, solution, stats) = if obs.enabled(ObsLevel::Summary) {
-                runner.run_lockstep(&instance, &obs)?
-            } else {
-                runner.run_with_stats(&instance)?
-            };
-            t_end = config.max_iterations as f64;
-            resets = Some(stats);
-            ("parallel SE".into(), solution)
         }
         "sa" => {
             let o = solve_observed(&SaSolver::new(SaConfig::paper(seed)), &instance, &obs)?;
@@ -393,12 +385,6 @@ fn solve(args: &[String]) -> Result<()> {
     println!("  cumulative age:   {:.1}s", metrics.cumulative_age);
     println!("  mean tx age:      {:.1}s", metrics.mean_tx_age_secs);
     println!("  epoch throughput: {:.2} TX/s", metrics.tps);
-    if let Some(r) = resets {
-        println!(
-            "  RESET signals:    {} broadcast, {} applied, {} ignored stale",
-            r.broadcast, r.applied, r.ignored_stale
-        );
-    }
     span.close(t_end);
     obs.flush_metrics(t_end);
     obs.flush();

@@ -22,11 +22,16 @@ fn instance(seed: u64) -> Instance {
         .unwrap()
 }
 
-fn lockstep_jsonl(instance_seed: u64, se_seed: u64) -> String {
+fn se_jsonl(instance_seed: u64, se_seed: u64, threads: usize) -> String {
     let (obs, buf) = Obs::memory(ObsLevel::Trace);
-    ParallelRunner::new(SeConfig::fast_test(se_seed).with_gamma(4))
-        .run_lockstep(&instance(instance_seed), &obs)
-        .unwrap();
+    SeEngine::new(
+        &instance(instance_seed),
+        SeConfig::fast_test(se_seed).with_gamma(4),
+    )
+    .unwrap()
+    .with_threads(threads)
+    .with_obs(obs.clone())
+    .run();
     obs.flush_metrics(0.0);
     obs.flush();
     assert_eq!(obs.invalid_dropped(), 0, "sink rejected events");
@@ -34,14 +39,19 @@ fn lockstep_jsonl(instance_seed: u64, se_seed: u64) -> String {
 }
 
 #[test]
-fn lockstep_telemetry_is_byte_identical_for_the_same_seed() {
-    let a = lockstep_jsonl(7, 3);
-    let b = lockstep_jsonl(7, 3);
+fn se_telemetry_is_byte_identical_for_the_same_seed() {
+    let a = se_jsonl(7, 3, 1);
+    let b = se_jsonl(7, 3, 1);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must replay the identical event stream");
+    assert_eq!(
+        a,
+        se_jsonl(7, 3, 2),
+        "the replica fan-out must not show in the event stream"
+    );
     // A different SE seed must change the stream (the telemetry actually
     // reflects the exploration path rather than being canned output).
-    let c = lockstep_jsonl(7, 4);
+    let c = se_jsonl(7, 4, 1);
     assert_ne!(a, c);
 }
 
@@ -68,17 +78,14 @@ fn every_emitted_line_conforms_to_the_documented_schema() {
     let (obs, buf) = Obs::memory(ObsLevel::Trace);
 
     // Exercise every emitting site: full protocol epoch (formation, PoW,
-    // PBFT, final block), a lockstep SE run (RESET bus, chains), a
-    // sequential engine run (se_point), and a baseline solver.
+    // PBFT, final block), a multi-replica SE run (chains, se_point), and a
+    // baseline solver.
     let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 23)
         .unwrap()
         .with_obs(obs.clone());
     sim.run_epoch().unwrap();
     let inst = instance(7);
-    ParallelRunner::new(SeConfig::fast_test(3).with_gamma(4))
-        .run_lockstep(&inst, &obs)
-        .unwrap();
-    SeEngine::new(&inst, SeConfig::fast_test(3))
+    SeEngine::new(&inst, SeConfig::fast_test(3).with_gamma(4))
         .unwrap()
         .with_obs(obs.clone())
         .run();
@@ -164,8 +171,6 @@ fn every_emitted_line_conforms_to_the_documented_schema() {
         "se_point",
         "se_improve",
         "se_converged",
-        "reset_publish",
-        "reset_apply",
         "solver_point",
         "solver_done",
         "metric",
