@@ -5,6 +5,12 @@
 //! (workspace root by default; override with `MVCOM_BENCH_OUT`). Set
 //! `MVCOM_BENCH_QUICK=1` for a reduced smoke run.
 //!
+//! The sustained loop runs twice, with each epoch's SE replica fan-out
+//! at 1 and at 2 threads. The two histories must be byte-identical, and
+//! on a host with ≥ 2 cores the 2-thread p50 epoch close must be at
+//! least [`THREAD_SPEEDUP_GATE`]× faster. The kill/resume check resumes
+//! the 2-thread history at 1 thread.
+//!
 //! This is the only place the daemon is measured against the wall
 //! clock — the daemon itself is fully logical-clocked (lint D1), so
 //! `Instant` lives here, in the bench harness.
@@ -24,6 +30,10 @@ const WALL_CLOCK_GATE_SECS: f64 = 120.0;
 /// Epochs discarded before throughput is considered steady-state.
 const WARMUP_EPOCHS: usize = 8;
 
+/// Minimum p50 epoch-close speedup of 2 SE threads over 1, gated only
+/// where at least 2 cores are available.
+const THREAD_SPEEDUP_GATE: f64 = 1.3;
+
 #[derive(serde::Serialize)]
 struct BenchConfig {
     seed: u64,
@@ -34,6 +44,8 @@ struct BenchConfig {
     defense: bool,
     adv_fraction: f64,
     epochs: u64,
+    /// SE fan-out of the run behind `sustained`/`epoch_close_latency`.
+    threads: usize,
 }
 
 #[derive(serde::Serialize)]
@@ -61,6 +73,26 @@ struct CloseLatency {
 }
 
 #[derive(serde::Serialize)]
+struct ThreadRun {
+    threads: usize,
+    total_secs: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+}
+
+#[derive(serde::Serialize)]
+struct ThreadScaling {
+    cores_available: usize,
+    runs: Vec<ThreadRun>,
+    /// 1-thread p50 ÷ 2-thread p50.
+    p50_speedup: f64,
+    speedup_gate: f64,
+    /// `false` on a 1-core host, where the gate is waived.
+    gated: bool,
+    histories_identical: bool,
+}
+
+#[derive(serde::Serialize)]
 struct Recovery {
     reference_bytes: u64,
     killed_at_bytes: u64,
@@ -77,6 +109,7 @@ struct Acceptance {
     wall_clock_gate_secs: f64,
     p99_epoch_close_ms: f64,
     recovery_identical: bool,
+    p50_thread_speedup: f64,
     pass: bool,
 }
 
@@ -87,11 +120,12 @@ struct Report {
     config: BenchConfig,
     sustained: Sustained,
     epoch_close_latency: CloseLatency,
+    thread_scaling: ThreadScaling,
     recovery: Recovery,
     acceptance: Acceptance,
 }
 
-fn daemon_config(quick: bool) -> (DaemonConfig, u64) {
+fn daemon_config(quick: bool, threads: usize) -> (DaemonConfig, u64) {
     let epochs: u64 = if quick { 12 } else { 72 };
     let config = DaemonConfig {
         seed: 42,
@@ -104,6 +138,7 @@ fn daemon_config(quick: bool) -> (DaemonConfig, u64) {
         adv_fraction: 0.2,
         adv_strategy: "misreport".to_string(),
         max_epochs: epochs,
+        threads,
         ..DaemonConfig::default()
     };
     (config, epochs)
@@ -130,7 +165,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Drives the sustained run one `step_epoch` at a time, timing each.
 fn sustained_run(config: &DaemonConfig, dir: &Path) -> (Sustained, CloseLatency, f64, Vec<u8>) {
-    let history = dir.join("sustained.log");
+    let history = dir.join(format!("sustained-t{}.log", config.threads));
     let mut daemon = open(config, &history, false);
     let mut step_secs: Vec<f64> = Vec::new();
     let mut summaries = Vec::new();
@@ -210,11 +245,13 @@ fn check_recovery(config: &DaemonConfig, dir: &Path, reference: &[u8]) -> Recove
 
 fn main() {
     let quick = std::env::var("MVCOM_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
-    let (config, epochs) = daemon_config(quick);
+    let (serial_config, _) = daemon_config(quick, 1);
+    let (config, epochs) = daemon_config(quick, 2);
     let dir = std::env::temp_dir().join(format!("mvcom-bench-daemon-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
+    let (_, serial_latency, serial_secs, serial_history) = sustained_run(&serial_config, &dir);
     let (sustained, latency, total_secs, reference) = sustained_run(&config, &dir);
     eprintln!(
         "  daemon/sustained: {} epochs ({} steady) in {:.2}s — {:.0} txs/s, {:.0} reports/s",
@@ -228,8 +265,43 @@ fn main() {
         "  daemon/close_latency: p50 {:.2}ms, p90 {:.2}ms, p99 {:.2}ms, max {:.2}ms",
         latency.p50_ms, latency.p90_ms, latency.p99_ms, latency.max_ms
     );
+    let histories_identical = serial_history == reference;
+    assert!(
+        histories_identical,
+        "the 1- and 2-thread histories differ: the SE fan-out changed the schedule"
+    );
+    let cores_available = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let p50_speedup = serial_latency.p50_ms / latency.p50_ms.max(1e-9);
+    let thread_scaling = ThreadScaling {
+        cores_available,
+        runs: vec![
+            ThreadRun {
+                threads: 1,
+                total_secs: serial_secs,
+                p50_ms: serial_latency.p50_ms,
+                p99_ms: serial_latency.p99_ms,
+            },
+            ThreadRun {
+                threads: 2,
+                total_secs,
+                p50_ms: latency.p50_ms,
+                p99_ms: latency.p99_ms,
+            },
+        ],
+        p50_speedup,
+        speedup_gate: THREAD_SPEEDUP_GATE,
+        gated: cores_available >= 2,
+        histories_identical,
+    };
+    eprintln!(
+        "  daemon/threads: p50 {:.2}ms at 1 thread, {:.2}ms at 2 — {p50_speedup:.2}x on a \
+         {cores_available}-core host (gate {THREAD_SPEEDUP_GATE}x{})",
+        serial_latency.p50_ms,
+        latency.p50_ms,
+        if thread_scaling.gated { "" } else { ", waived" }
+    );
 
-    let recovery = check_recovery(&config, &dir, &reference);
+    let recovery = check_recovery(&serial_config, &dir, &reference);
     assert!(
         recovery.recovery_identical,
         "resumed history diverged from the uninterrupted reference"
@@ -245,7 +317,8 @@ fn main() {
     let min_epochs = if quick { 12 } else { 60 };
     let run_epochs = sustained.epochs;
     let epochs_ok = run_epochs >= min_epochs;
-    let gate_ok = total_secs <= WALL_CLOCK_GATE_SECS;
+    let gate_ok = total_secs.max(serial_secs) <= WALL_CLOCK_GATE_SECS;
+    let speedup_ok = !thread_scaling.gated || p50_speedup >= THREAD_SPEEDUP_GATE;
     let p99 = latency.p99_ms;
     let report = Report {
         bench: "daemon".into(),
@@ -259,16 +332,20 @@ fn main() {
             defense: config.defense,
             adv_fraction: config.adv_fraction,
             epochs,
+            threads: config.threads,
         },
         sustained,
         epoch_close_latency: latency,
+        thread_scaling,
         recovery,
         acceptance: Acceptance {
             criterion: format!(
                 "sustained ingest over >= {min_epochs} epochs (defense + misreport adversary) \
-                 completes within {WALL_CLOCK_GATE_SECS}s wall clock, reporting steady-state \
-                 txs/sec and exact-percentile p99 epoch-close latency; a mid-record kill \
-                 resumes to a byte-identical history"
+                 completes within {WALL_CLOCK_GATE_SECS}s wall clock at 1 and at 2 SE threads, \
+                 reporting steady-state txs/sec and exact-percentile p99 epoch-close latency; \
+                 both histories are byte-identical; with >= 2 cores, 2 threads close epochs \
+                 >= {THREAD_SPEEDUP_GATE}x faster at p50; a mid-record kill at 2 threads \
+                 resumes at 1 thread to a byte-identical history"
             ),
             epochs: run_epochs,
             min_epochs,
@@ -276,7 +353,8 @@ fn main() {
             wall_clock_gate_secs: WALL_CLOCK_GATE_SECS,
             p99_epoch_close_ms: p99,
             recovery_identical: true,
-            pass: epochs_ok && gate_ok,
+            p50_thread_speedup: p50_speedup,
+            pass: epochs_ok && gate_ok && speedup_ok,
         },
     };
 

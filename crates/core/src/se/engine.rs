@@ -1,5 +1,9 @@
 //! The virtual-time Stochastic-Exploration engine (Algorithm 1).
 
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
 use serde::{Deserialize, Serialize};
 
 use mvcom_obs::{Obs, ObsLevel, Value};
@@ -74,7 +78,9 @@ struct Replica {
 ///
 /// See the [module docs](crate::se) for the mapping onto the paper. The
 /// engine owns a copy of the instance because dynamic events (committee
-/// join/leave) mutate the epoch mid-run.
+/// join/leave) mutate the epoch mid-run; it is held behind an [`Arc`] so
+/// the race pool's workers share it, and a dynamic event swaps the
+/// `Arc` rather than editing the instance in place.
 ///
 /// # Example
 ///
@@ -98,7 +104,7 @@ struct Replica {
 /// ```
 #[derive(Debug)]
 pub struct SeEngine {
-    instance: Instance,
+    instance: Arc<Instance>,
     config: SeConfig,
     replicas: Vec<Replica>,
     iteration: u64,
@@ -118,6 +124,9 @@ pub struct SeEngine {
     /// Which sampler the chains use for swap-pair draws (DESIGN.md §14).
     /// Also an execution knob: both variants are bit-identical.
     sampler: SeSampler,
+    /// The persistent workers behind the replica fan-out; empty until the
+    /// first parallel [`SeEngine::step`], joined when the engine drops.
+    pool: RacePool,
 }
 
 impl SeEngine {
@@ -133,7 +142,7 @@ impl SeEngine {
     pub fn new(instance: &Instance, config: SeConfig) -> Result<SeEngine> {
         config.validate()?;
         let mut engine = SeEngine {
-            instance: instance.clone(),
+            instance: Arc::new(instance.clone()),
             config,
             replicas: Vec::new(),
             iteration: 0,
@@ -146,6 +155,7 @@ impl SeEngine {
             obs: Obs::off(),
             threads: 1,
             sampler: SeSampler::default(),
+            pool: RacePool::default(),
         };
         engine.build_replicas(None)?;
         engine.seed_best();
@@ -179,10 +189,13 @@ impl SeEngine {
     }
 
     /// Sets the worker count for the replica fan-out in
-    /// [`SeEngine::step`] (clamped to ≥ 1). Replicas are partitioned
-    /// across scoped workers in contiguous chunks and their commits are
-    /// merged in replica order, so the output is byte-identical to the
-    /// serial run at any count — this knob only trades wall clock.
+    /// [`SeEngine::step`] (clamped to ≥ 1). Replicas are partitioned in
+    /// contiguous chunks: the calling thread races the first, and a
+    /// persistent pool of at most `min(threads, Γ) − 1` workers — spawned
+    /// on the first parallel step, joined when the engine drops — races
+    /// the rest. Commits are merged in replica order, so the output is
+    /// byte-identical to the serial run at any count; this knob only
+    /// trades wall clock. At 1 no worker thread is ever spawned.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> SeEngine {
         self.threads = threads.max(1);
@@ -256,6 +269,13 @@ impl SeEngine {
     /// over this engine's lifetime (0 for a fresh engine).
     pub fn restored_chains(&self) -> usize {
         self.restored_chains
+    }
+
+    /// Worker threads the race pool owns: 0 until the first parallel
+    /// [`SeEngine::step`], and never more than `min(threads, Γ) − 1` —
+    /// the calling thread always races one chunk itself.
+    pub fn race_workers(&self) -> usize {
+        self.pool.workers.len()
     }
 
     /// Takes a version-stamped, serializable snapshot of the full solver
@@ -348,7 +368,7 @@ impl SeEngine {
         let best_solution =
             Solution::from_indices(instance.len(), ckpt.best_selected.iter().copied(), instance);
         let mut engine = SeEngine {
-            instance: instance.clone(),
+            instance: Arc::new(instance.clone()),
             config,
             replicas,
             iteration: ckpt.iteration,
@@ -361,6 +381,7 @@ impl SeEngine {
             obs: Obs::off(),
             threads: 1,
             sampler: SeSampler::default(),
+            pool: RacePool::default(),
         };
         engine.seed_best();
         engine.record_point();
@@ -460,36 +481,38 @@ impl SeEngine {
     /// its timers and commits the winning proposal, partitioned across
     /// [`SeEngine::with_threads`] workers in contiguous replica chunks
     /// (the seed-per-task, index-order-merge idiom of the experiment
-    /// harness). Workers write into disjoint per-replica output slots and
-    /// never touch telemetry or engine-level state, so the merge phase
-    /// observes identical commit sequences at any thread count.
+    /// harness). Chunk 0 is raced here; the others are moved to the
+    /// [`RacePool`]'s workers and moved back in chunk order. Workers own
+    /// their chunk outright and never touch telemetry or engine-level
+    /// state, so the merge phase observes identical commit sequences at
+    /// any thread count.
     fn race_replicas(&mut self) -> Vec<Vec<ChainCommit>> {
-        let mut commits: Vec<Vec<ChainCommit>> = self.replicas.iter().map(|_| Vec::new()).collect();
-        let instance = &self.instance;
-        let config = &self.config;
         let workers = self.threads.min(self.replicas.len()).max(1);
         if workers <= 1 {
-            for (replica, out) in self.replicas.iter_mut().zip(commits.iter_mut()) {
-                *out = race_replica(replica, instance, config);
-            }
-            return commits;
+            return race_chunk(&mut self.replicas, &self.instance, &self.config);
         }
         let chunk = self.replicas.len().div_ceil(workers);
-        crossbeam::scope(|s| {
-            for (reps, outs) in self
-                .replicas
-                .chunks_mut(chunk)
-                .zip(commits.chunks_mut(chunk))
-            {
-                s.spawn(move |_| {
-                    for (replica, out) in reps.iter_mut().zip(outs.iter_mut()) {
-                        *out = race_replica(replica, instance, config);
-                    }
-                });
-            }
-        })
-        // lint: allow(P1, a worker panic is already a bug; propagating it beats deadlocking the merge)
-        .expect("SE race worker panicked");
+        let mut rest = self.replicas.split_off(chunk);
+        let mut shipped = 0usize;
+        while !rest.is_empty() {
+            let tail = rest.split_off(chunk.min(rest.len()));
+            self.pool.send(
+                shipped,
+                RaceJob {
+                    replicas: rest,
+                    instance: Arc::clone(&self.instance),
+                    config: self.config,
+                },
+            );
+            rest = tail;
+            shipped += 1;
+        }
+        let mut commits = race_chunk(&mut self.replicas, &self.instance, &self.config);
+        for worker in 0..shipped {
+            let done = self.pool.recv(worker);
+            self.replicas.extend(done.replicas);
+            commits.extend(done.commits);
+        }
         commits
     }
 
@@ -569,7 +592,7 @@ impl SeEngine {
                     .collect(),
             ),
         };
-        self.instance = new_instance;
+        self.instance = Arc::new(new_instance);
         self.after_instance_change(warm)?;
         self.emit_dynamic("join", committee, utility_before);
         Ok(())
@@ -601,7 +624,7 @@ impl SeEngine {
                     .collect(),
             ),
         };
-        self.instance = new_instance;
+        self.instance = Arc::new(new_instance);
         self.after_instance_change(warm)?;
         self.emit_dynamic("leave", committee, utility_before);
         Ok(())
@@ -803,7 +826,7 @@ struct ChainCommit {
 /// Races and commits every chain of one replica. Touches only
 /// replica-local state (the replica's chains and its own RNG stream) —
 /// no telemetry, no engine fields — which is what makes the fan-out in
-/// [`SeEngine::step`] safe to run from scoped workers.
+/// [`SeEngine::step`] safe to run on the [`RacePool`]'s workers.
 fn race_replica(replica: &mut Replica, instance: &Instance, config: &SeConfig) -> Vec<ChainCommit> {
     let mut commits = Vec::new();
     for c_idx in 0..replica.chains.len() {
@@ -818,6 +841,104 @@ fn race_replica(replica: &mut Replica, instance: &Instance, config: &SeConfig) -
         });
     }
     commits
+}
+
+/// Races one contiguous chunk of replicas, returning their commits in
+/// replica order.
+fn race_chunk(
+    replicas: &mut [Replica],
+    instance: &Instance,
+    config: &SeConfig,
+) -> Vec<Vec<ChainCommit>> {
+    replicas
+        .iter_mut()
+        .map(|replica| race_replica(replica, instance, config))
+        .collect()
+}
+
+/// One round's chunk of replicas, moved to a pool worker together with
+/// the instance it must race against (swapped by dynamic events, so it
+/// travels with every job) and the configuration.
+struct RaceJob {
+    replicas: Vec<Replica>,
+    instance: Arc<Instance>,
+    config: SeConfig,
+}
+
+/// A raced chunk moved back: the replicas one round on, and their
+/// commits in replica order.
+struct RaceDone {
+    replicas: Vec<Replica>,
+    commits: Vec<Vec<ChainCommit>>,
+}
+
+/// The body of a pool worker: race each chunk it is handed and hand it
+/// back, until the engine drops its end of the job channel.
+fn race_worker(jobs: Receiver<RaceJob>, done: Sender<RaceDone>) {
+    while let Ok(mut job) = jobs.recv() {
+        let commits = race_chunk(&mut job.replicas, &job.instance, &job.config);
+        let raced = RaceDone {
+            replicas: job.replicas,
+            commits,
+        };
+        if done.send(raced).is_err() {
+            return;
+        }
+    }
+}
+
+/// One persistent worker thread and its two channel ends.
+#[derive(Debug)]
+struct RaceWorker {
+    jobs: Sender<RaceJob>,
+    done: Receiver<RaceDone>,
+    handle: JoinHandle<()>,
+}
+
+/// The persistent workers behind [`SeEngine::with_threads`]: worker `k`
+/// races chunk `k + 1` of every round. Workers are spawned on first use,
+/// so an engine that never fans out never owns a thread.
+#[derive(Debug, Default)]
+struct RacePool {
+    workers: Vec<RaceWorker>,
+}
+
+impl RacePool {
+    /// Hands `job` to worker `k`, spawning workers up to `k` first.
+    fn send(&mut self, k: usize, job: RaceJob) {
+        while self.workers.len() <= k {
+            let (jobs, job_rx) = mpsc::channel();
+            let (done_tx, done) = mpsc::channel();
+            let handle = std::thread::spawn(move || race_worker(job_rx, done_tx));
+            self.workers.push(RaceWorker { jobs, done, handle });
+        }
+        self.workers[k]
+            .jobs
+            .send(job)
+            // lint: allow(P1, a closed job channel means the worker panicked; running on without its replicas would fork the run)
+            .expect("SE race worker panicked");
+    }
+
+    /// Takes worker `k`'s raced chunk back, blocking until it is done.
+    fn recv(&self, k: usize) -> RaceDone {
+        self.workers[k]
+            .done
+            .recv()
+            // lint: allow(P1, a closed done channel means the worker panicked; running on without its replicas would fork the run)
+            .expect("SE race worker panicked")
+    }
+}
+
+impl Drop for RacePool {
+    fn drop(&mut self) {
+        for worker in self.workers.drain(..) {
+            // Closing the job channel ends the worker's loop.
+            drop(worker.jobs);
+            // A worker panic already surfaced in `recv`: every job a
+            // worker takes is received back before `step` returns.
+            let _ = worker.handle.join();
+        }
+    }
 }
 
 /// The chain cardinalities for one replica: the whole feasible range when

@@ -1,11 +1,16 @@
 //! The daemon loop: ingest → epoch close → SE schedule → defend → alert
 //! → persist, forever.
 //!
-//! One [`Daemon`] owns exactly one thread of execution; every side effect
-//! of an epoch — telemetry, metrics, the history append, the snapshot
-//! render — happens inside [`Daemon::step_epoch`], in a fixed order. The
-//! only concurrency in the process is the read-only metrics endpoint
-//! ([`crate::http`]), which shares nothing but a rendered string.
+//! One [`Daemon`] owns one loop thread; every side effect of an epoch —
+//! telemetry, metrics, the history append, the snapshot render — happens
+//! on it inside [`Daemon::step_epoch`], in a fixed order. Two kinds of
+//! helper thread exist beside it. Each epoch's [`SeEngine`] fans its
+//! replicas out over a persistent race pool of up to
+//! [`DaemonConfig::threads`] − 1 workers, which own only replica-local
+//! state and hand it back in replica order before the serial merge, so
+//! the epoch's output is the same at any thread count. The read-only
+//! metrics endpoint ([`crate::http`]) shares nothing but a rendered
+//! string.
 //!
 //! # Determinism and crash recovery
 //!
@@ -44,9 +49,9 @@ use crate::ingest::IngestSource;
 /// Everything the daemon's behaviour depends on, plus runtime pacing.
 ///
 /// The first block of fields is determinism-relevant and is frozen into
-/// the history [`RunHeader`]; the pacing fields (`max_epochs`,
-/// `throttle_ms`) only decide how much of the run happens and how fast,
-/// never which bytes it produces.
+/// the history [`RunHeader`]; the execution fields (`max_epochs`,
+/// `throttle_ms`, `threads`) only decide how much of the run happens and
+/// how fast, never which bytes it produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// Master seed: forks the seeded source, the per-epoch SE engines and
@@ -81,11 +86,17 @@ pub struct DaemonConfig {
     /// Sleep this long after each ingest batch — pacing for smoke tests
     /// and demos; does not touch the logical clock.
     pub throttle_ms: u64,
+    /// Worker threads for each epoch's SE replica fan-out
+    /// ([`SeEngine::with_threads`], which treats 0 as 1); defaults to the
+    /// host's available parallelism. History bytes are identical at any
+    /// value, so a run may resume at a different count.
+    pub threads: usize,
 }
 
 impl Default for DaemonConfig {
     /// Paper-flavoured defaults: 96 committees, 48-report epochs in
-    /// batches of 8, `α = 1.5`, `Ĉ = 1000·|I|`, `N_min = 0.5·|I|`.
+    /// batches of 8, `α = 1.5`, `Ĉ = 1000·|I|`, `N_min = 0.5·|I|`; SE
+    /// fans out over every available core.
     fn default() -> DaemonConfig {
         DaemonConfig {
             seed: 7,
@@ -102,6 +113,7 @@ impl Default for DaemonConfig {
             se_iterations: 0,
             max_epochs: 0,
             throttle_ms: 0,
+            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 }
@@ -631,7 +643,9 @@ impl Daemon {
         }
         let budget = se_config.max_iterations;
         let mut engine = match SeEngine::new(&instance, se_config) {
-            Ok(engine) => engine.with_obs(self.obs.clone()),
+            Ok(engine) => engine
+                .with_threads(self.config.threads)
+                .with_obs(self.obs.clone()),
             Err(_) => return fallback(),
         };
         while engine.iteration() < budget && !engine.is_converged() {

@@ -206,6 +206,13 @@ pub const DAEMON_FLAGS: &[FlagSpec] = &[
         help: "sleep after each ingest batch (pacing only; never touches the clock)",
     },
     FlagSpec {
+        flag: "--threads",
+        value: "N",
+        default: "",
+        help: "SE replica fan-out workers per epoch (default: every available core; \
+               history bytes are identical at any count)",
+    },
+    FlagSpec {
         flag: "--alert-min-utility",
         value: "X",
         default: "",

@@ -23,7 +23,7 @@ use mvcom_daemon::{
     read_history, AlertConfig, AlertEngine, Daemon, DaemonConfig, HistoryRecord, SeededSource,
     Startup,
 };
-use mvcom_obs::Obs;
+use mvcom_obs::{Obs, ObsLevel};
 
 /// A fresh scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -55,8 +55,14 @@ fn config() -> DaemonConfig {
 
 /// Opens a daemon over the standard test config against `history`.
 fn open(history: &Path, max_epochs: u64, resume: bool) -> Daemon {
+    open_with(history, max_epochs, resume, config().threads, Obs::off())
+}
+
+/// [`open`] at an explicit SE fan-out, with telemetry.
+fn open_with(history: &Path, max_epochs: u64, resume: bool, threads: usize, obs: Obs) -> Daemon {
     let cfg = DaemonConfig {
         max_epochs,
+        threads,
         ..config()
     };
     let source = SeededSource::new(cfg.seed, cfg.population).unwrap();
@@ -65,7 +71,7 @@ fn open(history: &Path, max_epochs: u64, resume: bool) -> Daemon {
         Box::new(source),
         history,
         resume,
-        Obs::off(),
+        obs,
         AlertEngine::new(AlertConfig::default()),
     )
     .unwrap()
@@ -161,6 +167,68 @@ fn live_kill_mid_epoch_resumes_byte_identically() {
     assert_eq!(resumed.run(|_| {}).unwrap(), 3);
     drop(resumed);
     assert_eq!(std::fs::read(&path).unwrap(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn history_and_events_are_identical_at_one_and_two_threads() {
+    // The SE replica fan-out is an execution knob: the history and the
+    // `--obs-out` event stream must not depend on it.
+    let dir = scratch("threads");
+    let run = |threads: usize| {
+        let history = dir.join(format!("t{threads}.log"));
+        let events = dir.join(format!("t{threads}.jsonl"));
+        let obs = Obs::to_file(ObsLevel::Events, &events).unwrap();
+        let mut daemon = open_with(&history, EPOCHS, false, threads, obs);
+        assert_eq!(daemon.run(|_| {}).unwrap(), EPOCHS);
+        drop(daemon);
+        (
+            std::fs::read(&history).unwrap(),
+            std::fs::read(&events).unwrap(),
+        )
+    };
+    let (history_1, events_1) = run(1);
+    let (history_2, events_2) = run(2);
+    assert!(
+        String::from_utf8_lossy(&events_1).contains("\"se_init\""),
+        "the event stream must carry the SE engine's events"
+    );
+    assert_eq!(
+        history_1, history_2,
+        "history differs between 1 and 2 threads"
+    );
+    assert_eq!(events_1, events_2, "events differ between 1 and 2 threads");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_history_resumes_across_thread_counts() {
+    // Threads are not in the header, so a run torn at one count resumes
+    // at another — to the bytes of an uninterrupted run.
+    let dir = scratch("cross-threads");
+    let reference = reference_history(&dir, EPOCHS);
+    let boundaries = record_boundaries(&reference);
+    let mid_frame = boundaries[2] + (boundaries[3] - boundaries[2]) / 2;
+    for (written, resumed) in [(2, 1), (1, 2)] {
+        let path = dir.join(format!("torn-{written}-{resumed}.log"));
+        let mut daemon = open_with(&path, EPOCHS, false, written, Obs::off());
+        daemon.run(|_| {}).unwrap();
+        drop(daemon);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..mid_frame]).unwrap();
+        let mut daemon = open_with(&path, EPOCHS, true, resumed, Obs::off());
+        assert!(matches!(
+            daemon.startup(),
+            Startup::Resumed { epochs: 2, .. }
+        ));
+        daemon.run(|_| {}).unwrap();
+        drop(daemon);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            reference,
+            "written at {written} thread(s), resumed at {resumed}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,10 +4,12 @@
 //! thread.
 //!
 //! The workspace has exactly one sanctioned fan-out idiom (three
-//! instances of it: `mvcom_core::se::SeEngine`'s replica race, elastico's
-//! stage-3 committee pool, and `mvcom_bench::harness::run_tasks`): work is
-//! claimed off a shared counter or split into disjoint chunks, and results
-//! land in per-task slots. The
+//! instances of it: `mvcom_core::se::SeEngine`'s replica race pool,
+//! elastico's stage-3 committee pool, and
+//! `mvcom_bench::harness::run_tasks`): work is claimed off a shared
+//! counter or split into disjoint chunks (the race pool moves each chunk
+//! to a persistent worker and back), and results land in per-task slots
+//! or come back in task order. The
 //! C-rules only make sense *inside* that region — `Ordering::Relaxed` on
 //! a caller-side cached value is fine, the same token inside a spawned
 //! closure needs a justification. So the region is computed, not guessed:

@@ -198,6 +198,20 @@ impl Flags {
         }
     }
 
+    /// The `--threads` worker count. Every fan-out it drives is
+    /// byte-identical to the serial run at any count, so 0 is a hard
+    /// error, not "auto".
+    fn threads(&self, default: usize) -> Result<usize> {
+        let threads: usize = self.num("threads", default)?;
+        if threads == 0 {
+            return Err(Error::invalid_config(
+                "threads",
+                "--threads must be >= 1 (use 1 for a serial run), got `0`",
+            ));
+        }
+        Ok(threads)
+    }
+
     /// A probability/fraction-valued flag: parsed as `f64` and validated
     /// to lie in `[0, 1]`, so a typo'd `--chaos-drop 20` fails here with a
     /// clear message instead of producing nonsense downstream.
@@ -302,15 +316,8 @@ fn solve(args: &[String]) -> Result<()> {
         None | Some("par-se") => "se",
         Some(name) => name,
     };
-    // SE replica fan-out (DESIGN.md §14): byte-identical to the serial
-    // run at any count, so 0 is a hard error, not "auto".
-    let threads: usize = flags.num("threads", 1usize)?;
-    if threads == 0 {
-        return Err(Error::invalid_config(
-            "threads",
-            "--threads must be >= 1 (use 1 for a serial run), got `0`",
-        ));
-    }
+    // SE replica fan-out (DESIGN.md §14).
+    let threads = flags.threads(1)?;
 
     let trace = load_trace(&flags, seed)?;
     let mut gen = EpochGenerator::new(&trace, LatencyConfig::paper(), seed);
@@ -459,15 +466,8 @@ fn simulate(args: &[String]) -> Result<()> {
         ));
     }
 
-    // Committee-parallel stage 3 (DESIGN.md §11): byte-identical to the
-    // serial run at any count, so 0 is a hard error, not "auto".
-    let threads: usize = flags.num("threads", 1usize)?;
-    if threads == 0 {
-        return Err(Error::invalid_config(
-            "threads",
-            "--threads must be >= 1 (use 1 for a serial run), got `0`",
-        ));
-    }
+    // Committee-parallel stage 3 (DESIGN.md §11).
+    let threads = flags.threads(1)?;
     let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
     let mut sim = ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?
         .with_obs(obs.clone())
@@ -696,6 +696,8 @@ fn daemon(args: &[String]) -> Result<()> {
         se_iterations: flags.num("se-iters", 0)?,
         max_epochs: flags.num("epochs", 0)?,
         throttle_ms: flags.num("throttle-ms", 0)?,
+        // SE replica fan-out per epoch (DESIGN.md §13).
+        threads: flags.threads(DaemonConfig::default().threads)?,
     };
     let source: Box<dyn IngestSource> = match flags.get("source") {
         None | Some("seeded") => {
